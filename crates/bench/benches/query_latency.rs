@@ -145,13 +145,13 @@ fn index_with_prefetch(name: &str, depth: usize) -> Arc<UmziIndex> {
                 capacity_bytes: 0,
                 ..DecodedCacheConfig::default()
             },
+            prefetch: PrefetchConfig {
+                depth,
+                ..PrefetchConfig::default()
+            },
             ..TieredConfig::default()
         },
     ));
-    storage.set_prefetch_config(PrefetchConfig {
-        depth,
-        ..PrefetchConfig::default()
-    });
     let mut config = UmziConfig::two_zone(name);
     config.merge = MergePolicy {
         k: usize::MAX / 2,

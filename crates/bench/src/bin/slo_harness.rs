@@ -40,7 +40,7 @@ use umzi_encoding::Datum;
 use umzi_run::SortBound;
 use umzi_storage::telemetry::{Histogram, HistogramSnapshot};
 use umzi_storage::{
-    BreakerConfig, DecodedCacheConfig, FaultInjectingStore, FaultOp, FaultPlan,
+    context, BreakerConfig, DecodedCacheConfig, FaultInjectingStore, FaultOp, FaultPlan,
     InMemoryObjectStore, LatencyModel, ObjectStore, QueryContext, RetryConfig, SharedStorage,
     TelemetryConfig, TieredConfig, TieredStorage,
 };
@@ -157,14 +157,19 @@ struct SloOutcome {
 
 /// Scenario 1: drive the seeded tenant mix under daemon churn.
 fn run_slo_mix(ops_target: usize) -> SloOutcome {
-    let storage = Arc::new(TieredStorage::in_memory());
+    let storage = Arc::new(TieredStorage::new(
+        SharedStorage::in_memory(),
+        TieredConfig {
+            telemetry: TelemetryConfig {
+                enabled: true,
+                slow_query_threshold: Duration::from_millis(50),
+                slow_query_log_len: 32,
+            },
+            ..TieredConfig::default()
+        },
+    ));
     let mut shard = ShardConfig::default();
     shard.umzi.merge = MergePolicy { k: 4, t: 4 };
-    shard.umzi.telemetry = Some(TelemetryConfig {
-        enabled: true,
-        slow_query_threshold: Duration::from_millis(50),
-        slow_query_log_len: 32,
-    });
     let engine = WildfireEngine::create(
         Arc::clone(&storage),
         Arc::new(iot_table()),
@@ -598,9 +603,8 @@ fn run_brownout(cycles: usize) -> BrownoutOutcome {
             std::thread::spawn(move || {
                 let mut device = i as i64;
                 while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                    let ctx = QueryContext::with_deadline(Duration::from_millis(4));
-                    let _ = std::hint::black_box(engine.scan_index_with(
-                        &ctx,
+                    let _g = context::enter(QueryContext::with_deadline(Duration::from_millis(4)));
+                    let _ = std::hint::black_box(engine.scan_index(
                         vec![Datum::Int64(device % BROWNOUT_DEVICES)],
                         SortBound::Unbounded,
                         SortBound::Unbounded,
@@ -633,12 +637,14 @@ fn run_brownout(cycles: usize) -> BrownoutOutcome {
             let msg = rng.random_range(0..BROWNOUT_MSGS);
             let ctx = QueryContext::with_deadline(Duration::from_millis(20));
             let t0 = Instant::now();
-            let out = engine.get_with(
-                &ctx,
-                &[Datum::Int64(device)],
-                &[Datum::Int64(msg)],
-                Freshness::Latest,
-            );
+            let out = {
+                let _g = context::enter(ctx);
+                engine.get(
+                    &[Datum::Int64(device)],
+                    &[Datum::Int64(msg)],
+                    Freshness::Latest,
+                )
+            };
             point_hist.record(t0.elapsed().as_nanos() as u64);
             if out.is_err() {
                 point_failures += 1;
@@ -655,12 +661,14 @@ fn run_brownout(cycles: usize) -> BrownoutOutcome {
             .expect("fresh ingest");
         let ctx = QueryContext::with_deadline(Duration::from_millis(20));
         let t0 = Instant::now();
-        let out = engine.get_with(
-            &ctx,
-            &[Datum::Int64(device)],
-            &[Datum::Int64(fresh_msg)],
-            Freshness::Freshest,
-        );
+        let out = {
+            let _g = context::enter(ctx);
+            engine.get(
+                &[Datum::Int64(device)],
+                &[Datum::Int64(fresh_msg)],
+                Freshness::Freshest,
+            )
+        };
         point_hist.record(t0.elapsed().as_nanos() as u64);
         if out.is_err() {
             point_failures += 1;

@@ -9,14 +9,17 @@
 //! Exits non-zero when coverage is incomplete.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use umzi_core::{
     MaintenanceConfig, MergePolicy, RangeQuery, ReconcileStrategy, UmziConfig, UmziIndex,
 };
 use umzi_encoding::Datum;
 use umzi_run::SortBound;
-use umzi_storage::{SharedStorage, TelemetryConfig, TieredConfig, TieredStorage};
+use umzi_storage::{
+    context, PrefetchConfig, QueryContext, SharedStorage, TelemetryConfig, TieredConfig,
+    TieredStorage,
+};
 use umzi_wildfire::{iot_table, EngineConfig, Freshness, ShardConfig, WildfireEngine};
 use umzi_workload::{IndexPreset, MixedConfig, MixedOp, MixedWorkload};
 
@@ -80,25 +83,31 @@ fn drive_partitioned_scan(storage: &Arc<TieredStorage>) {
 
 fn main() {
     // Tiers small enough that reads spill past memory and SSD to shared
-    // storage — otherwise `block_fetch` never fires on an in-memory run.
+    // storage — otherwise `block_fetch` never fires on an in-memory run —
+    // and readahead on, so cold scans stage blocks in prefetch batches.
     let storage = Arc::new(TieredStorage::new(
         SharedStorage::in_memory(),
         TieredConfig {
             mem_capacity: 256 << 10,
             ssd_capacity: 512 << 10,
+            // Threshold zero: every query lands in the slow-query log, so
+            // the artifact demonstrates trace capture without needing a
+            // slow machine.
+            telemetry: TelemetryConfig {
+                enabled: true,
+                slow_query_threshold: Duration::ZERO,
+                slow_query_log_len: 64,
+            },
+            prefetch: PrefetchConfig {
+                depth: 4,
+                ..PrefetchConfig::default()
+            },
             ..TieredConfig::default()
         },
     ));
 
     let mut shard = ShardConfig::default();
     shard.umzi.merge = MergePolicy { k: 4, t: 4 };
-    // Threshold zero: every query lands in the slow-query log, so the
-    // artifact demonstrates trace capture without needing a slow machine.
-    shard.umzi.telemetry = Some(TelemetryConfig {
-        enabled: true,
-        slow_query_threshold: Duration::ZERO,
-        slow_query_log_len: 64,
-    });
     let engine = WildfireEngine::create(
         Arc::clone(&storage),
         Arc::new(iot_table()),
@@ -173,6 +182,19 @@ fn main() {
     }
 
     drive_partitioned_scan(&storage);
+
+    // A get whose deadline is already over dies typed at its entry
+    // checkpoint and lands in the deadline-overshoot histogram.
+    {
+        let _g = context::enter(QueryContext::deadline_at(
+            Instant::now() - Duration::from_millis(1),
+        ));
+        let (eq, sort) = key_probe(last_key);
+        let err = engine
+            .get(&eq, &sort, Freshness::Latest)
+            .expect_err("expired deadline");
+        assert!(err.is_deadline_exceeded(), "got {err}");
+    }
 
     // Let the daemon drain so every job kind has executed (idle retire and
     // evolve pokes are recorded too), then snapshot while it is still

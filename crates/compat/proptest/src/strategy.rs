@@ -208,7 +208,7 @@ fn parse_dot_repeat(pat: &str) -> Option<(usize, usize)> {
     Some((a.trim().parse().ok()?, b.trim().parse().ok()?))
 }
 
-/// Collection-size specification for [`vec`].
+/// Collection-size specification for [`vec()`].
 #[derive(Debug, Clone)]
 pub struct SizeRange {
     lo: usize,
@@ -246,7 +246,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// Strategy produced by [`vec`].
+/// Strategy produced by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -321,20 +321,10 @@ impl MaintenanceDaemon {
     /// workers drain the queue, then join everything. The queue is empty
     /// afterwards.
     pub fn shutdown(&self) {
-        self.shutdown_inner(false);
-    }
-
-    /// Abort: drop all pending jobs and join the workers as soon as their
-    /// in-flight job finishes.
-    pub fn shutdown_now(&self) {
-        self.shutdown_inner(true);
-    }
-
-    fn shutdown_inner(&self, discard: bool) {
         self.stop_ticks.raise();
         // Writers must not stay stalled with no one left to relieve them.
         self.gate.set_enabled(false);
-        self.queue.close(discard);
+        self.queue.close();
         let threads: Vec<_> = self.threads.lock().drain(..).collect();
         for t in threads {
             let _ = t.join();
@@ -344,7 +334,7 @@ impl MaintenanceDaemon {
 
 impl Drop for MaintenanceDaemon {
     fn drop(&mut self) {
-        self.shutdown_inner(false);
+        self.shutdown();
     }
 }
 
@@ -418,25 +408,11 @@ pub struct IndexDaemon {
 }
 
 impl IndexDaemon {
-    /// Spawn the daemon with the index's own `UmziConfig::maintenance`
-    /// (validated when the index was created) and wire the maintenance
-    /// hook to it.
-    pub fn spawn(index: Arc<UmziIndex>) -> IndexDaemon {
-        let config = index.config().maintenance.clone();
-        Self::spawn_inner(index, config)
-    }
-
-    /// Spawn with an explicit configuration override; fails on an invalid
-    /// configuration instead of panicking mid-spawn.
-    pub fn spawn_with(
-        index: Arc<UmziIndex>,
-        config: MaintenanceConfig,
-    ) -> crate::Result<IndexDaemon> {
+    /// Spawn the daemon with `config` and wire the index's maintenance hook
+    /// to it; fails on an invalid configuration instead of panicking
+    /// mid-spawn.
+    pub fn spawn(index: Arc<UmziIndex>, config: MaintenanceConfig) -> crate::Result<IndexDaemon> {
         config.validate()?;
-        Ok(Self::spawn_inner(index, config))
-    }
-
-    fn spawn_inner(index: Arc<UmziIndex>, config: MaintenanceConfig) -> IndexDaemon {
         let executor = Arc::new(IndexExecutor {
             index: Arc::clone(&index),
             adaptive_cache: config.adaptive_cache,
@@ -458,7 +434,7 @@ impl IndexDaemon {
         for level in 0..=index.config().max_level() {
             daemon.enqueue(Job::Merge { shard: 0, level });
         }
-        IndexDaemon { daemon, index }
+        Ok(IndexDaemon { daemon, index })
     }
 
     /// The underlying daemon (stats, enqueue, backpressure).
@@ -531,7 +507,7 @@ mod tests {
     #[test]
     fn background_merges_happen() {
         let idx = test_index(2, 1000);
-        let daemon = IndexDaemon::spawn_with(
+        let daemon = IndexDaemon::spawn(
             Arc::clone(&idx),
             MaintenanceConfig {
                 workers: 2,
@@ -568,7 +544,7 @@ mod tests {
     #[test]
     fn shutdown_drains_queue() {
         let idx = test_index(2, 2);
-        let daemon = IndexDaemon::spawn_with(
+        let daemon = IndexDaemon::spawn(
             Arc::clone(&idx),
             MaintenanceConfig {
                 workers: 1,
@@ -713,7 +689,7 @@ mod tests {
     #[test]
     fn stats_surface_queue_and_dedup() {
         let idx = test_index(100, 1000); // merges never fire
-        let daemon = IndexDaemon::spawn_with(
+        let daemon = IndexDaemon::spawn(
             Arc::clone(&idx),
             MaintenanceConfig {
                 workers: 1,

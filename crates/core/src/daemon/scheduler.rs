@@ -76,8 +76,6 @@ struct QueueState {
     in_flight: usize,
     /// Once set, `push` rejects new work; workers drain what remains.
     closing: bool,
-    /// Once set, `pop` returns `None` even with jobs remaining (abort).
-    discarding: bool,
 }
 
 impl QueueState {
@@ -133,15 +131,14 @@ impl JobQueue {
 
     /// Worker-side enqueue for follow-ups: still accepted while a graceful
     /// drain is in progress (maintenance chains are finite — every merge
-    /// strictly shrinks the structure — so the drain converges), rejected
-    /// only by a discarding shutdown.
+    /// strictly shrinks the structure — so the drain converges).
     pub(crate) fn push_follow_up(&self, job: Job) -> bool {
         self.push_inner(job, true)
     }
 
     fn push_inner(&self, job: Job, follow_up: bool) -> bool {
         let mut s = self.lock();
-        if s.discarding || (s.closing && !follow_up) {
+        if s.closing && !follow_up {
             return false;
         }
         if !s.pending.insert(job) {
@@ -186,14 +183,11 @@ impl JobQueue {
     }
 
     /// Block until a job is available (returning it) or until shutdown with
-    /// an empty (or discarded) queue (returning `None`). The caller must
+    /// an empty queue (returning `None`). The caller must
     /// pair every `Some` with a later [`JobQueue::done`].
     pub(crate) fn pop(&self) -> Option<Job> {
         let mut s = self.lock();
         loop {
-            if s.discarding {
-                return None;
-            }
             if let Some(shard) = self.select_shard(&s) {
                 let heap = s.shards.get_mut(&shard).expect("selected shard exists");
                 let q = heap.pop().expect("selected head exists");
@@ -258,18 +252,9 @@ impl JobQueue {
         }
     }
 
-    /// Stop accepting new jobs. With `discard`, also drop everything still
-    /// pending (workers exit at the next pop); without it, workers drain the
-    /// remaining queue first.
-    pub(crate) fn close(&self, discard: bool) {
-        let mut s = self.lock();
-        s.closing = true;
-        if discard {
-            s.discarding = true;
-            s.shards.clear();
-            s.pending.clear();
-        }
-        drop(s);
+    /// Stop accepting new jobs; workers drain the remaining queue first.
+    pub(crate) fn close(&self) {
+        self.lock().closing = true;
         self.cv.notify_all();
     }
 }
@@ -379,20 +364,10 @@ mod tests {
     fn close_drains_then_stops() {
         let q = JobQueue::new(true);
         q.push(Job::Groom { shard: 0 });
-        q.close(false);
+        q.close();
         assert!(!q.push(Job::Groom { shard: 1 }), "closed queue rejects");
         assert_eq!(q.pop(), Some(Job::Groom { shard: 0 }), "drain continues");
         q.done();
         assert_eq!(q.pop(), None, "empty + closed terminates workers");
-    }
-
-    #[test]
-    fn close_discard_drops_pending() {
-        let q = JobQueue::new(true);
-        q.push(Job::Groom { shard: 0 });
-        q.push(Job::Evolve { shard: 0 });
-        q.close(true);
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.depth(), 0);
     }
 }

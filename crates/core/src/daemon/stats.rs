@@ -114,11 +114,6 @@ impl MaintenanceStats {
             .unwrap_or_default()
     }
 
-    /// Total jobs that found work, across kinds.
-    pub fn total_runs(&self) -> u64 {
-        self.per_kind.iter().map(|(_, s)| s.runs).sum()
-    }
-
     /// Peak dequeue age (enqueues waited through) for one kind.
     pub fn peak_dequeue_age(&self, kind: JobKind) -> u64 {
         self.peak_dequeue_age[kind.index()]

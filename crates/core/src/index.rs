@@ -124,25 +124,20 @@ impl UmziIndex {
         def: Arc<IndexDef>,
         config: UmziConfig,
     ) -> Result<Arc<UmziIndex>> {
-        config.validate()?;
-        if let Some(dc) = &config.cache.decoded_cache {
-            storage
-                .decoded_cache()
-                .reconfigure(dc)
-                .map_err(|e| crate::error::UmziError::Config(e.to_string()))?;
-        }
-        if let Some(retry) = config.retry {
-            storage.set_retry_config(retry);
-        }
-        if let Some(tc) = &config.telemetry {
-            storage.telemetry().configure(tc);
-        }
-        if let Some(pf) = config.prefetch {
-            storage.set_prefetch_config(pf);
-        }
+        Self::validate(&storage, &config)?;
         let index = Self::empty(storage, def, config);
         index.persist_manifest()?;
         Ok(Arc::new(index))
+    }
+
+    /// Validate the index config and the shared storage config it runs on;
+    /// either failing is a typed [`UmziError::Config`](crate::UmziError::Config).
+    pub(crate) fn validate(storage: &TieredStorage, config: &UmziConfig) -> Result<()> {
+        config.validate()?;
+        storage
+            .config()
+            .validate()
+            .map_err(|e| crate::error::UmziError::Config(e.to_string()))
     }
 
     pub(crate) fn empty(
@@ -250,11 +245,6 @@ impl UmziIndex {
         self.next_run_id.fetch_add(1, Ordering::AcqRel)
     }
 
-    /// Zone index owning `zone_id`, if configured.
-    pub fn zone_index_of(&self, zone_id: ZoneId) -> Option<usize> {
-        self.zones.iter().position(|z| z.config.zone == zone_id)
-    }
-
     /// Persist the current durable state as a new manifest and GC old ones.
     pub fn persist_manifest(&self) -> Result<()> {
         let seq = self.manifest_seq.fetch_add(1, Ordering::AcqRel) + 1;
@@ -347,11 +337,6 @@ impl UmziIndex {
             .map(|r| r.groomed_range())
             .collect()
     }
-
-    /// Snapshot of every live run, zone by zone (newest first within each).
-    pub fn all_runs(&self) -> Vec<Vec<Arc<Run>>> {
-        self.zones.iter().map(|z| z.list.snapshot()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -386,6 +371,27 @@ mod tests {
         let mut cfg = UmziConfig::two_zone("i");
         cfg.non_persisted_levels = vec![0];
         assert!(UmziIndex::create(storage, def(), cfg).is_err());
+    }
+
+    /// A bad *storage* config surfaces as a typed config error at index
+    /// create and recover, not as a panic or a silently clamped value.
+    #[test]
+    fn invalid_storage_config_is_a_config_error() {
+        let storage = Arc::new(TieredStorage::new(
+            umzi_storage::SharedStorage::in_memory(),
+            umzi_storage::TieredConfig {
+                prefetch: umzi_storage::PrefetchConfig {
+                    depth: 4,
+                    max_inflight_bytes: 0,
+                },
+                ..umzi_storage::TieredConfig::default()
+            },
+        ));
+        let cfg = UmziConfig::two_zone("i");
+        let err = UmziIndex::create(Arc::clone(&storage), def(), cfg.clone()).unwrap_err();
+        assert!(matches!(err, crate::UmziError::Config(_)), "{err}");
+        let err = UmziIndex::recover(storage, def(), cfg).unwrap_err();
+        assert!(matches!(err, crate::UmziError::Config(_)), "{err}");
     }
 
     #[test]

@@ -317,7 +317,7 @@ impl UmziIndex {
     /// threads (runs are `Arc`s and reads are lock-free). Large
     /// priority-queue scans then also *merge* in parallel: the key range is
     /// partitioned at block-fence boundaries and each partition merges on
-    /// its own thread ([`Self::reconcile_pq_maybe_parallel`]); small scans
+    /// its own thread (`reconcile_pq_maybe_parallel`); small scans
     /// and the set strategy reconcile sequentially. Results are identical
     /// and deterministic either way.
     pub fn range_scan(
@@ -918,7 +918,19 @@ mod tests {
     #[test]
     fn partitioned_scan_does_not_refetch_boundary_blocks() {
         let build = |name: &str, partitions: usize, threshold: u64| {
-            let storage = Arc::new(TieredStorage::in_memory());
+            // Effectively no decoded cache: every block fetch must hit the
+            // chunk tiers, so a boundary-block refetch is visible in
+            // `chunk_reads` instead of being absorbed as a cache hit.
+            let storage = Arc::new(TieredStorage::new(
+                umzi_storage::SharedStorage::in_memory(),
+                umzi_storage::TieredConfig {
+                    decoded_cache: umzi_storage::DecodedCacheConfig {
+                        capacity_bytes: 1,
+                        ..umzi_storage::DecodedCacheConfig::default()
+                    },
+                    ..umzi_storage::TieredConfig::default()
+                },
+            ));
             let def = Arc::new(
                 IndexDef::builder("t")
                     .equality("device", ColumnType::Int64)
@@ -931,14 +943,6 @@ mod tests {
             cfg.scan.max_scan_partitions = partitions;
             cfg.scan.parallel_row_threshold = threshold;
             cfg.scan.min_partition_rows = 1;
-            // Effectively no decoded cache: every block fetch must hit the
-            // chunk tiers, so a boundary-block refetch is visible in
-            // `chunk_reads` instead of being absorbed as a cache hit.
-            cfg.cache.decoded_cache = Some(umzi_storage::DecodedCacheConfig {
-                capacity_bytes: 1,
-                shards: 16,
-                ..umzi_storage::DecodedCacheConfig::default()
-            });
             let idx = UmziIndex::create(storage, def, cfg).unwrap();
             // Overlapping runs so merged-fence boundaries land mid-block in
             // most runs — the shape that over-fetched before the fix.

@@ -7,7 +7,7 @@
 //! * **Set approach** — search runs sequentially from newest to oldest and
 //!   remember which keys were already returned. Cheap for small ranges; the
 //!   set of intermediate keys must fit in memory.
-//! * **Priority-queue approach** — merge all runs' sorted streams through a
+//! * **The priority-queue approach** — merge all runs' sorted streams through a
 //!   heap (the merge step of merge sort); the first entry of each logical
 //!   key group is the newest version, so no intermediate set is needed.
 //!
@@ -84,7 +84,7 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Priority-queue approach: merges the streams, emitting the first (newest
+/// The priority-queue approach: merges the streams, emitting the first (newest
 /// visible) entry of every logical-key group. `streams` ordered newest run
 /// first. Output is sorted by full key.
 pub fn reconcile_pq<I>(streams: Vec<I>) -> Result<Vec<SearchHit>>

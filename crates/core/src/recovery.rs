@@ -32,22 +32,7 @@ impl UmziIndex {
         def: Arc<IndexDef>,
         config: UmziConfig,
     ) -> Result<Arc<UmziIndex>> {
-        config.validate()?;
-        if let Some(dc) = &config.cache.decoded_cache {
-            storage
-                .decoded_cache()
-                .reconfigure(dc)
-                .map_err(|e| crate::error::UmziError::Config(e.to_string()))?;
-        }
-        if let Some(retry) = config.retry {
-            storage.set_retry_config(retry);
-        }
-        if let Some(tc) = &config.telemetry {
-            storage.telemetry().configure(tc);
-        }
-        if let Some(pf) = config.prefetch {
-            storage.set_prefetch_config(pf);
-        }
+        Self::validate(&storage, &config)?;
         let index = Self::empty(Arc::clone(&storage), def, config);
 
         // Durable state from the newest valid manifest.

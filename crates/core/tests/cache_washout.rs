@@ -51,11 +51,7 @@ fn build_index(name: &str, policy: CachePolicy) -> Arc<UmziIndex> {
             .build()
             .unwrap(),
     );
-    let mut config = UmziConfig::two_zone(name);
-    // Exercise the per-index override path too (create → reconfigure; the
-    // shard count is fixed by the TieredConfig above).
-    config.cache.decoded_cache = Some(small_cache(policy));
-    let idx = UmziIndex::create(storage, def, config).unwrap();
+    let idx = UmziIndex::create(storage, def, UmziConfig::two_zone(name)).unwrap();
     for r in 0..2u64 {
         let entries: Vec<IndexEntry> = (0..PER_RUN)
             .map(|m| {

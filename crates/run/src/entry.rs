@@ -49,11 +49,6 @@ impl IndexEntry {
     pub fn rid(&self) -> Result<Rid> {
         Rid::decode(&self.value)
     }
-
-    /// Total encoded size (excluding block framing).
-    pub fn encoded_size(&self) -> usize {
-        self.key.len() + self.value.len()
-    }
 }
 
 /// A borrowed view of an entry inside a fetched data block. Zero-copy:

@@ -182,7 +182,7 @@ impl<'a> RunSearcher<'a> {
             streamed: (pattern == AccessPattern::RangeScan)
                 .then(|| budget.unwrap_or_else(|| Arc::new(AtomicU64::new(0)))),
             prefetch_depth: if pattern == AccessPattern::RangeScan {
-                self.run.storage().prefetch_config().depth
+                self.run.storage().config().prefetch.depth
             } else {
                 0
             },

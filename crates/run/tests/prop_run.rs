@@ -179,14 +179,6 @@ proptest! {
         query_ts in 0u64..45,
     ) {
         let hi = lo + len;
-        // Small chunks force multi-block runs so readahead has work to do.
-        let storage = Arc::new(TieredStorage::new(
-            SharedStorage::in_memory(),
-            TieredConfig {
-                chunk_size: 256,
-                ..TieredConfig::default()
-            },
-        ));
         let l = layout();
         let mut entries: Vec<IndexEntry> = rows
             .iter()
@@ -204,27 +196,6 @@ proptest! {
             })
             .collect();
         entries.sort_by(|a, b| a.key.cmp(&b.key));
-        let mut b = RunBuilder::new(
-            l.clone(),
-            RunParams {
-                run_id: 1,
-                zone: ZoneId::GROOMED,
-                level: 0,
-                groomed_lo: 0,
-                groomed_hi: 0,
-                psn: 0,
-                offset_bits: 0,
-                ancestors: vec![],
-            },
-            storage.chunk_size(),
-        );
-        for e in &entries {
-            b.push(e).unwrap();
-        }
-        let run = b
-            .finish(&storage, "runs/prefetch", Durability::Persisted, true)
-            .unwrap();
-
         let (lower, upper) = l
             .query_range(
                 &[Datum::Int64(device)],
@@ -232,25 +203,56 @@ proptest! {
                 &SortBound::Included(vec![Datum::Int64(hi)]),
             )
             .unwrap();
-        let cold_scan = |d: usize| -> Vec<(Vec<u8>, Vec<u8>, u64)> {
-            storage.set_prefetch_config(PrefetchConfig {
-                depth: d,
-                ..PrefetchConfig::default()
-            });
+        // One hierarchy per depth (the readahead policy is fixed when the
+        // storage is built). Small chunks force multi-block runs so
+        // readahead has work to do. Returns the scan and the blocks staged.
+        type Rows = Vec<(Vec<u8>, Vec<u8>, u64)>;
+        let cold_scan = |d: usize| -> (Rows, u64) {
+            let storage = Arc::new(TieredStorage::new(
+                SharedStorage::in_memory(),
+                TieredConfig {
+                    chunk_size: 256,
+                    prefetch: PrefetchConfig {
+                        depth: d,
+                        ..PrefetchConfig::default()
+                    },
+                    ..TieredConfig::default()
+                },
+            ));
+            let mut b = RunBuilder::new(
+                l.clone(),
+                RunParams {
+                    run_id: 1,
+                    zone: ZoneId::GROOMED,
+                    level: 0,
+                    groomed_lo: 0,
+                    groomed_hi: 0,
+                    psn: 0,
+                    offset_bits: 0,
+                    ancestors: vec![],
+                },
+                storage.chunk_size(),
+            );
+            for e in &entries {
+                b.push(e).unwrap();
+            }
+            let run = b
+                .finish(&storage, "runs/prefetch", Durability::Persisted, true)
+                .unwrap();
             storage.purge_object(run.handle()).unwrap();
             storage.decoded_cache().clear();
-            RunSearcher::new(&run)
+            let out = RunSearcher::new(&run)
                 .scan(&lower, upper.as_deref(), None, query_ts)
                 .unwrap()
                 .map(|r| {
                     let h = r.unwrap();
                     (h.key.to_vec(), h.value.to_vec(), h.begin_ts)
                 })
-                .collect()
+                .collect();
+            (out, storage.stats().blocks_prefetched)
         };
-        let baseline = cold_scan(0);
-        let staged0 = storage.stats().blocks_prefetched;
-        let with_readahead = cold_scan(depth);
+        let (baseline, _) = cold_scan(0);
+        let (with_readahead, staged) = cold_scan(depth);
         prop_assert_eq!(&with_readahead, &baseline, "depth {} diverged", depth);
         // A configured depth on a scan spanning several blocks must have
         // actually staged something: ≥ 30 result rows at 256-byte chunks
@@ -258,7 +260,7 @@ proptest! {
         // one readahead trigger fires inside it.
         if depth > 0 && baseline.len() >= 30 {
             prop_assert!(
-                storage.stats().blocks_prefetched > staged0,
+                staged > 0,
                 "multi-block cold scan at depth {} staged nothing",
                 depth
             );

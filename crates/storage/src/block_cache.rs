@@ -41,9 +41,9 @@
 //! scan fan-out.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::cache::ChunkKey;
 use crate::error::StorageError;
@@ -94,9 +94,7 @@ pub struct DecodedCacheConfig {
     /// Total capacity in (raw-block) bytes, split evenly across shards;
     /// 0 disables the cache.
     pub capacity_bytes: u64,
-    /// Shard count (lock granularity under parallel scans). Fixed at
-    /// construction — [`DecodedBlockCache::reconfigure`] rejects a config
-    /// that asks for a different count.
+    /// Shard count (lock granularity under parallel scans).
     pub shards: usize,
     /// Replacement policy.
     pub policy: CachePolicy,
@@ -172,8 +170,7 @@ impl DecodedCacheConfig {
     /// A copy with every out-of-range knob clamped into its documented
     /// domain — the infallible construction path
     /// ([`DecodedBlockCache::new`] / `TieredStorage::new`) uses this, while
-    /// [`DecodedBlockCache::reconfigure`] rejects the same configs via
-    /// [`Self::validate`].
+    /// [`Self::validate`] rejects the same configs with an error.
     fn clamped(&self) -> DecodedCacheConfig {
         DecodedCacheConfig {
             shards: self.shards.max(1),
@@ -191,22 +188,6 @@ impl DecodedCacheConfig {
 
 /// A decoded block plus its accounting weight (the raw block size).
 type Slot = (std::sync::Arc<dyn Any + Send + Sync>, u64);
-
-/// Policy parameters shared by all shards, swapped by
-/// [`DecodedBlockCache::reconfigure`]. Stored as individual atomics so the
-/// per-access load costs two relaxed reads, not a lock.
-#[derive(Debug, Clone, Copy)]
-struct PolicyParams {
-    policy: CachePolicy,
-    protected_fraction: f64,
-}
-
-impl PolicyParams {
-    /// Encode the fraction in parts-per-million for atomic storage.
-    fn fraction_ppm(fraction: f64) -> u32 {
-        (fraction * 1_000_000.0) as u32
-    }
-}
 
 struct Shard {
     /// New and once-seen blocks; scans live and die here.
@@ -251,14 +232,14 @@ impl Shard {
     /// Returns `false` when the shard is empty.
     fn evict_one(
         &mut self,
-        params: &PolicyParams,
+        scan_resistant: bool,
         protected_cap: u64,
         sketch: &FrequencySketch,
         c: &EvictCounters,
     ) -> bool {
         if let Some((vk, (vv, vw))) = self.probation.pop_lru() {
             self.probation_bytes -= vw;
-            if params.policy == CachePolicy::ScanResistant {
+            if scan_resistant {
                 let vfreq = sketch.estimate(sketch_hash(vk));
                 let tail_freq = self
                     .protected
@@ -309,19 +290,14 @@ fn sketch_hash(key: ChunkKey) -> u64 {
 pub struct DecodedBlockCache {
     shards: Vec<Mutex<Shard>>,
     /// One frequency sketch shared by every shard (striped-atomic, so no
-    /// shard lock is needed to record or estimate). Replaced wholesale on
-    /// [`Self::reconfigure`] — always acquired *after* a shard lock, never
-    /// while holding the write half across shard work.
-    sketch: RwLock<FrequencySketch>,
+    /// shard lock is needed to record or estimate).
+    sketch: FrequencySketch,
     /// Total capacity in (raw-block) bytes, split evenly across shards.
-    capacity: AtomicU64,
-    /// Replacement policy (0 = Lru, 1 = ScanResistant); atomic so the hot
-    /// path never takes a lock for it.
-    policy: AtomicU8,
-    /// Protected-segment fraction in parts-per-million.
-    protected_fraction_ppm: AtomicU32,
-    /// Scan-insert bypass threshold (read per scan, so kept lock-free).
-    scan_bypass_bytes: AtomicU64,
+    capacity: u64,
+    policy: CachePolicy,
+    /// Fraction of each shard's capacity reserved for the protected segment.
+    protected_fraction: f64,
+    scan_bypass_bytes: u64,
     hits: [AtomicU64; 3],
     misses: [AtomicU64; 3],
     insertions: AtomicU64,
@@ -337,8 +313,8 @@ pub struct DecodedBlockCache {
 impl std::fmt::Debug for DecodedBlockCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DecodedBlockCache")
-            .field("capacity", &self.capacity.load(Ordering::Relaxed))
-            .field("policy", &self.params().policy)
+            .field("capacity", &self.capacity)
+            .field("policy", &self.policy)
             .field("stats", &self.stats())
             .finish()
     }
@@ -347,21 +323,18 @@ impl std::fmt::Debug for DecodedBlockCache {
 impl DecodedBlockCache {
     /// Create a cache from its configuration. Out-of-range knobs are
     /// clamped into their documented domains (construction is infallible;
-    /// use [`DecodedCacheConfig::validate`] /
-    /// [`Self::reconfigure`] where an error is preferable).
+    /// use [`DecodedCacheConfig::validate`] where an error is preferable).
     pub fn new(config: DecodedCacheConfig) -> Self {
         let config = config.clamped();
         let shards = config.shards.max(1);
         let counters = config.resolved_sketch_counters(config.capacity_bytes);
         Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            sketch: RwLock::new(FrequencySketch::new(counters, config.sketch_sample_factor)),
-            capacity: AtomicU64::new(config.capacity_bytes),
-            policy: AtomicU8::new(config.policy as u8),
-            protected_fraction_ppm: AtomicU32::new(PolicyParams::fraction_ppm(
-                config.protected_fraction,
-            )),
-            scan_bypass_bytes: AtomicU64::new(config.scan_bypass_bytes),
+            sketch: FrequencySketch::new(counters, config.sketch_sample_factor),
+            capacity: config.capacity_bytes,
+            policy: config.policy,
+            protected_fraction: config.protected_fraction,
+            scan_bypass_bytes: config.scan_bypass_bytes,
             hits: Default::default(),
             misses: Default::default(),
             insertions: AtomicU64::new(0),
@@ -394,30 +367,22 @@ impl DecodedBlockCache {
     }
 
     fn per_shard_capacity(&self) -> u64 {
-        self.capacity.load(Ordering::Relaxed) / self.shards.len() as u64
+        self.capacity / self.shards.len() as u64
     }
 
-    fn params(&self) -> PolicyParams {
-        PolicyParams {
-            policy: if self.policy.load(Ordering::Relaxed) == CachePolicy::Lru as u8 {
-                CachePolicy::Lru
-            } else {
-                CachePolicy::ScanResistant
-            },
-            protected_fraction: f64::from(self.protected_fraction_ppm.load(Ordering::Relaxed))
-                / 1_000_000.0,
-        }
+    fn scan_resistant(&self) -> bool {
+        self.policy == CachePolicy::ScanResistant
     }
 
     /// Whether the cache is disabled (zero capacity).
     pub fn is_disabled(&self) -> bool {
-        self.capacity.load(Ordering::Relaxed) == 0
+        self.capacity == 0
     }
 
     /// The scan-insert bypass threshold (bytes one scan may stream before
     /// it stops inserting); 0 = never bypass.
     pub fn scan_bypass_bytes(&self) -> u64 {
-        self.scan_bypass_bytes.load(Ordering::Relaxed)
+        self.scan_bypass_bytes
     }
 
     /// Whether a key is resident (no recency effect, no statistics).
@@ -443,21 +408,14 @@ impl DecodedBlockCache {
         }
         let found = {
             let mut shard = self.shard_of(key).lock();
-            // Load the policy under the shard lock: reconfigure() folds
-            // each shard's segments under the same lock, so a promotion can
-            // never race a policy switch and strand an entry in protected.
-            let params = self.params();
-            let protected_cap =
-                (self.per_shard_capacity() as f64 * params.protected_fraction) as u64;
-            if params.policy == CachePolicy::ScanResistant {
-                self.sketch.read().increment(sketch_hash(key));
+            let protected_cap = (self.per_shard_capacity() as f64 * self.protected_fraction) as u64;
+            if self.scan_resistant() {
+                self.sketch.increment(sketch_hash(key));
             }
             if let Some((v, _)) = shard.protected.get(&key) {
                 Some(v.clone())
             } else if shard.probation.contains(&key) {
-                if params.policy == CachePolicy::ScanResistant
-                    && pattern == AccessPattern::PointLookup
-                {
+                if self.scan_resistant() && pattern == AccessPattern::PointLookup {
                     // Second touch by a point lookup: promote.
                     let (v, w) = shard.probation.remove(&key).expect("present");
                     shard.probation_bytes -= w;
@@ -507,13 +465,9 @@ impl DecodedBlockCache {
             return; // would immediately evict everything; not cacheable
         }
         let mut shard = self.shard_of(key).lock();
-        // Lock order everywhere: shard Mutex first, then the sketch read
-        // lock (reconfigure takes the write half with no shard lock held).
-        let sketch = self.sketch.read();
-        // Policy loaded under the shard lock (see get()).
-        let params = self.params();
-        let protected_cap = (cap as f64 * params.protected_fraction) as u64;
-        let scan_resistant = params.policy == CachePolicy::ScanResistant;
+        let sketch = &self.sketch;
+        let protected_cap = (cap as f64 * self.protected_fraction) as u64;
+        let scan_resistant = self.scan_resistant();
         // Armed on a fresh scan-resistant admission: (candidate key, its
         // sketch frequency at insert time). See the eviction loop below.
         let mut duel: Option<(ChunkKey, u64)> = None;
@@ -604,7 +558,7 @@ impl DecodedBlockCache {
                     }
                 }
             }
-            if !shard.evict_one(&params, protected_cap, &sketch, &self.evict) {
+            if !shard.evict_one(scan_resistant, protected_cap, sketch, &self.evict) {
                 break;
             }
         }
@@ -625,7 +579,7 @@ impl DecodedBlockCache {
             self.decoded_bytes.fetch_add(weight, Ordering::Relaxed);
             return;
         }
-        if self.params().policy == CachePolicy::ScanResistant {
+        if self.scan_resistant() {
             self.decoded_bytes.fetch_add(weight, Ordering::Relaxed);
             self.bypassed_inserts.fetch_add(1, Ordering::Relaxed);
             return;
@@ -659,61 +613,6 @@ impl DecodedBlockCache {
         }
     }
 
-    /// Apply a new configuration to the live cache: capacity, policy and
-    /// sketch knobs change; the shard count is fixed at construction, and a
-    /// config asking for a *different* count is rejected with
-    /// [`StorageError::Config`] — silently keeping the old count would let
-    /// an operator believe a lock-granularity change took effect. Resident
-    /// entries survive — switching to [`CachePolicy::Lru`] folds the
-    /// protected segment back into the single LRU list.
-    pub fn reconfigure(&self, config: &DecodedCacheConfig) -> crate::Result<()> {
-        config.validate()?;
-        if config.shards != self.shards.len() {
-            return Err(StorageError::Config(format!(
-                "decoded cache shard count is fixed at construction ({}); \
-                 reconfigure cannot change it to {}",
-                self.shards.len(),
-                config.shards
-            )));
-        }
-        self.capacity
-            .store(config.capacity_bytes, Ordering::Relaxed);
-        self.scan_bypass_bytes
-            .store(config.scan_bypass_bytes, Ordering::Relaxed);
-        self.policy.store(config.policy as u8, Ordering::Relaxed);
-        self.protected_fraction_ppm.store(
-            PolicyParams::fraction_ppm(config.protected_fraction),
-            Ordering::Relaxed,
-        );
-        // Swap the shared sketch as a standalone step while holding *no*
-        // shard lock (the hot paths take shard → sketch, so taking the
-        // write half under a shard lock would invert the order).
-        let counters = config.resolved_sketch_counters(config.capacity_bytes);
-        *self.sketch.write() = FrequencySketch::new(counters, config.sketch_sample_factor);
-        let protected_cap = (self.per_shard_capacity() as f64 * config.protected_fraction) as u64;
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            if config.policy == CachePolicy::Lru {
-                // Fold protected into probation, oldest first, so the merged
-                // list keeps protected entries ahead of nothing they had not
-                // already outlived.
-                while let Some((k, (v, w))) = s.protected.pop_lru() {
-                    s.protected_bytes -= w;
-                    s.probation.insert(k, (v, w));
-                    s.probation_bytes += w;
-                }
-            } else {
-                // Enforce the new protected cap now: a shrunk fraction must
-                // not wait for the next promotion to take effect (scan-only
-                // workloads never trigger one).
-                let mut demos = 0;
-                s.rebalance_protected(protected_cap, &mut demos);
-                self.evict.demotions.fetch_add(demos, Ordering::Relaxed);
-            }
-        }
-        Ok(())
-    }
-
     /// Current statistics.
     pub fn stats(&self) -> DecodedCacheStats {
         let (mut entries, mut probation, mut protected) = (0u64, 0u64, 0u64);
@@ -728,10 +627,7 @@ impl DecodedBlockCache {
             misses: self.misses[i].load(Ordering::Relaxed),
         };
         let (point, scan, maintenance) = (pat(0), pat(1), pat(2));
-        let (sketch_occupancy, sketch_halvings) = {
-            let sketch = self.sketch.read();
-            (sketch.occupancy(), sketch.halvings())
-        };
+        let (sketch_occupancy, sketch_halvings) = (self.sketch.occupancy(), self.sketch.halvings());
         DecodedCacheStats {
             hits: point.hits + scan.hits + maintenance.hits,
             misses: point.misses + scan.misses + maintenance.misses,
@@ -974,90 +870,6 @@ mod tests {
     }
 
     #[test]
-    fn reconfigure_switches_policy_and_capacity() {
-        let c = cache(1000, CachePolicy::ScanResistant);
-        for b in 0..4 {
-            c.insert((1, b), val(b), 100, PT);
-            c.get((1, b), PT); // promote
-        }
-        assert_eq!(c.stats().protected_bytes, 400);
-        c.reconfigure(&DecodedCacheConfig {
-            capacity_bytes: 500,
-            shards: 1,
-            policy: CachePolicy::Lru,
-            ..DecodedCacheConfig::default()
-        })
-        .unwrap();
-        let s = c.stats();
-        assert_eq!(s.protected_bytes, 0, "protected folded into the LRU");
-        assert_eq!(s.entries, 4, "entries survive reconfiguration");
-        // Next insert enforces the shrunk capacity.
-        c.insert((2, 0), val(9), 100, PT);
-        assert!(c.stats().used_bytes <= 500);
-        // Invalid configs are rejected without touching the cache.
-        assert!(c
-            .reconfigure(&DecodedCacheConfig {
-                protected_fraction: 1.5,
-                ..DecodedCacheConfig::default()
-            })
-            .is_err());
-    }
-
-    /// The shard count is fixed at construction: a reconfigure keeping it
-    /// is accepted, one changing it is rejected before any knob changes.
-    #[test]
-    fn reconfigure_rejects_changed_shard_count() {
-        let c = cache(1000, CachePolicy::ScanResistant); // 1 shard
-        c.insert((1, 0), val(0), 100, PT);
-        let err = c
-            .reconfigure(&DecodedCacheConfig {
-                capacity_bytes: 500,
-                shards: 4,
-                ..DecodedCacheConfig::default()
-            })
-            .unwrap_err();
-        assert!(matches!(err, StorageError::Config(_)), "{err}");
-        assert_eq!(c.stats().entries, 1, "rejected reconfigure is a no-op");
-        // Capacity untouched: an insert past the would-be new cap still fits.
-        c.insert((1, 1), val(1), 800, PT);
-        assert!(c.stats().used_bytes > 500, "capacity was not shrunk");
-        // Matching shard count is accepted.
-        c.reconfigure(&DecodedCacheConfig {
-            capacity_bytes: 2000,
-            shards: 1,
-            ..DecodedCacheConfig::default()
-        })
-        .unwrap();
-    }
-
-    /// Shrinking `protected_fraction` must rebalance immediately: scan-only
-    /// workloads never trigger a promotion, so a stale oversized protected
-    /// segment would otherwise hold its bytes indefinitely.
-    #[test]
-    fn reconfigure_shrinks_protected_segment_immediately() {
-        let c = cache(1000, CachePolicy::ScanResistant); // protected cap 500
-        for b in 0..4 {
-            c.insert((1, b), val(b), 100, PT);
-            c.get((1, b), PT); // promote
-        }
-        assert_eq!(c.stats().protected_bytes, 400);
-        c.reconfigure(&DecodedCacheConfig {
-            capacity_bytes: 1000,
-            shards: 1,
-            policy: CachePolicy::ScanResistant,
-            protected_fraction: 0.2, // new cap 200
-            sketch_counters: 1 << 16,
-            ..DecodedCacheConfig::default()
-        })
-        .unwrap();
-        let s = c.stats();
-        assert!(s.protected_bytes <= 200, "demoted to the new cap: {s:?}");
-        assert_eq!(s.entries, 4, "demotion moves entries, not drops them");
-        assert_eq!(s.used_bytes, 400);
-        assert!(s.demotions >= 2);
-    }
-
-    #[test]
     fn config_validation() {
         assert!(DecodedCacheConfig::default().validate().is_ok());
         for bad in [
@@ -1187,8 +999,8 @@ mod tests {
     }
 
     /// The infallible constructor clamps out-of-range knobs instead of
-    /// accepting them verbatim (validate()/reconfigure() reject the same
-    /// configs with an error).
+    /// accepting them verbatim (validate() rejects the same configs with an
+    /// error).
     #[test]
     fn new_clamps_out_of_range_config() {
         // An absurd sketch size must not allocate gigabytes; a nonsense

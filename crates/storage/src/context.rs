@@ -1,18 +1,15 @@
-//! Query deadlines, cooperative cancellation, and priority classes.
+//! Query deadlines and cooperative cancellation.
 //!
-//! A [`QueryContext`] is created at the engine API (deadline + shared
-//! [`CancelToken`] + [`Priority`]) and travels down through the query,
-//! reconcile, run, and storage layers. Two propagation channels exist:
-//!
-//! 1. **Explicit**: upper layers pass `&QueryContext` through their own
-//!    signatures where they already thread per-query state.
-//! 2. **Ambient**: a thread-local stack installed via [`enter`] so deep
-//!    leaf code (`with_retry` backoff loops, block-iterator refills,
-//!    prefetch staging) can consult the active context without plumbing a
-//!    parameter through every storage trait. Worker threads spawned for a
-//!    partitioned scan re-install the parent's context with [`enter`]
-//!    before doing any IO; maintenance daemons never install one, so
-//!    background IO keeps its full retry budget.
+//! A [`QueryContext`] (deadline + shared [`CancelToken`]) travels down
+//! through the engine, query, reconcile, run, and storage layers on one
+//! channel: a thread-local stack installed via [`enter`]. A caller that
+//! wants a deadline writes `let _g = context::enter(ctx);` and then calls
+//! the operation; every layer below (admission, `with_retry_as` backoff
+//! loops, block-iterator refills, prefetch staging) consults the active
+//! context without a parameter threaded through its signature. Worker
+//! threads spawned for a partitioned scan re-install the parent's context
+//! with [`enter`] before doing any IO; maintenance daemons never install
+//! one, so background IO keeps its full retry budget.
 //!
 //! Checks are *cooperative checkpoints*: hot loops call
 //! [`QueryContext::check`] (or [`check_current`]) at block boundaries and
@@ -155,33 +152,19 @@ impl CancelToken {
     }
 }
 
-/// Scheduling class of a query, consumed by the read admission controller:
-/// point lookups are never queued behind analytical scans.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Priority {
-    /// Interactive/transactional traffic (point and small range lookups).
-    #[default]
-    Interactive,
-    /// Large analytical scans — subject to concurrency limits and shedding.
-    Analytical,
-    /// Background/maintenance work.
-    Background,
-}
-
-/// Per-query deadline + cancellation + priority bundle.
+/// Per-query deadline + cancellation bundle.
 ///
 /// Cheap to clone (`Option<Instant>` + one `Arc`). The default context is
-/// unbounded: no deadline, no cancellation, interactive priority — exactly
-/// the pre-existing behavior, so legacy call paths lose nothing.
+/// unbounded: no deadline, no cancellation — exactly the behavior of a
+/// call made with no context installed.
 #[derive(Debug, Clone, Default)]
 pub struct QueryContext {
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
-    priority: Priority,
 }
 
 impl QueryContext {
-    /// No deadline, no cancellation, interactive priority.
+    /// No deadline, no cancellation.
     pub fn unbounded() -> Self {
         Self::default()
     }
@@ -205,25 +188,9 @@ impl QueryContext {
         self
     }
 
-    /// Set the priority class.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
     /// The absolute deadline, if any.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
-    }
-
-    /// The priority class.
-    pub fn priority(&self) -> Priority {
-        self.priority
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// Whether this context can never expire or be cancelled.
@@ -305,7 +272,8 @@ pub fn current_if_set() -> Option<QueryContext> {
 
 /// Cooperative checkpoint against the ambient context. Free (two
 /// thread-local reads) when no context is installed — the hot-path cost on
-/// every legacy call. `op` names the operation for the typed error.
+/// every call made without a deadline. `op` names the operation for the
+/// typed error.
 pub fn check_current(op: &'static str) -> Result<(), StorageError> {
     AMBIENT.with(|s| match s.borrow().last() {
         Some(ctx) => ctx.check(op),

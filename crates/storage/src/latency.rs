@@ -86,17 +86,6 @@ impl LatencyModel {
         Self::new(TierLatency::free(), LatencyMode::Accounting)
     }
 
-    /// Default SSD-like latencies (≈100 µs per op, ≈1 µs/KiB), accounting only.
-    pub fn ssd_default() -> Self {
-        Self::new(TierLatency::micros(100, 1), LatencyMode::Accounting)
-    }
-
-    /// Default shared-storage-like latencies (≈2 ms per op, ≈20 µs/KiB),
-    /// accounting only.
-    pub fn shared_default() -> Self {
-        Self::new(TierLatency::micros(2_000, 20), LatencyMode::Accounting)
-    }
-
     /// Apply the charge for an operation moving `bytes` bytes.
     pub fn apply(&self, bytes: usize) {
         if self.latency.is_free() {
@@ -113,11 +102,6 @@ impl LatencyModel {
     /// Total virtual time charged so far.
     pub fn charged(&self) -> Duration {
         Duration::from_nanos(self.charged_nanos.load(Ordering::Relaxed))
-    }
-
-    /// The configured tier latency.
-    pub fn tier_latency(&self) -> TierLatency {
-        self.latency
     }
 
     /// The configured mode.

@@ -59,7 +59,7 @@ pub mod tiered;
 pub use block_cache::{AccessPattern, CachePolicy, DecodedBlockCache, DecodedCacheConfig};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::CacheTier;
-pub use context::{CancelToken, ContextGuard, OpClass, Priority, QueryContext};
+pub use context::{CancelToken, ContextGuard, OpClass, QueryContext};
 pub use error::StorageError;
 pub use fault::{FaultEvent, FaultInjectingStore, FaultOp, FaultPlan, FaultStats};
 pub use latency::{LatencyMode, LatencyModel, TierLatency};

@@ -23,7 +23,7 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use umzi_telemetry::Telemetry;
+use umzi_telemetry::{Telemetry, TelemetryConfig};
 
 use crate::block_cache::{DecodedBlockCache, DecodedCacheConfig};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -179,6 +179,9 @@ pub struct TieredConfig {
     /// Per-op-class circuit breaker over shared storage (disabled by
     /// default; see [`BreakerConfig`]).
     pub breaker: BreakerConfig,
+    /// Telemetry master switch, slow-query threshold and log capacity of
+    /// the handle every layer on this hierarchy records into.
+    pub telemetry: TelemetryConfig,
 }
 
 impl Default for TieredConfig {
@@ -194,6 +197,7 @@ impl Default for TieredConfig {
             retry: RetryConfig::default(),
             prefetch: PrefetchConfig::default(),
             breaker: BreakerConfig::default(),
+            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -204,6 +208,15 @@ impl TieredConfig {
         self.ssd_latency = TierLatency::micros(100, 1);
         self.shared_latency = TierLatency::micros(2_000, 20);
         self
+    }
+
+    /// Validate every sub-config. [`TieredStorage::new`] stays infallible;
+    /// callers that want a typed error for a bad config call this first.
+    pub fn validate(&self) -> Result<()> {
+        self.decoded_cache.validate()?;
+        self.retry.validate()?;
+        self.prefetch.validate()?;
+        self.telemetry.validate().map_err(StorageError::Config)
     }
 }
 
@@ -232,9 +245,6 @@ pub struct TieredStorage {
     /// Total `read_chunk` calls, regardless of which tier served them.
     chunk_reads: std::sync::atomic::AtomicU64,
     registry: RwLock<Registry>,
-    /// Retry policy for shared-storage IO; reconfigurable (index configs may
-    /// override the hierarchy default).
-    retry: RwLock<RetryConfig>,
     /// Jitter source for retry backoff. Seeded deterministically so tests
     /// replay the same delays.
     retry_rng: Mutex<StdRng>,
@@ -258,8 +268,6 @@ pub struct TieredStorage {
     /// Object names whose GC delete failed — awaiting janitor re-attempt.
     leaked_gc: Mutex<BTreeSet<String>>,
     corruption_refetches: std::sync::atomic::AtomicU64,
-    /// Readahead policy; reconfigurable like the retry policy.
-    prefetch: RwLock<PrefetchConfig>,
     /// Chunks staged ahead of demand that no read has consumed yet. Bounded
     /// FIFO window: keys that age out unconsumed count as wasted readahead.
     prefetched: Mutex<PrefetchWindow>,
@@ -308,9 +316,8 @@ impl TieredStorage {
             LatencyModel::new(config.ssd_latency, config.latency_mode),
         );
         let decoded = DecodedBlockCache::new(config.decoded_cache.clone());
-        let retry = config.retry;
-        let prefetch = config.prefetch;
         let breaker = CircuitBreaker::new(config.breaker);
+        let telemetry = Arc::new(Telemetry::with_config(&config.telemetry));
         Self {
             config,
             shared,
@@ -319,7 +326,6 @@ impl TieredStorage {
             decoded,
             chunk_reads: std::sync::atomic::AtomicU64::new(0),
             registry: RwLock::new(Registry::default()),
-            retry: RwLock::new(retry),
             retry_rng: Mutex::new(StdRng::seed_from_u64(0x9E37_79B9_7F4A_7C15)),
             retries: std::sync::atomic::AtomicU64::new(0),
             retries_exhausted: std::sync::atomic::AtomicU64::new(0),
@@ -332,13 +338,12 @@ impl TieredStorage {
             gc_leaked_reclaimed: AtomicU64::new(0),
             leaked_gc: Mutex::new(BTreeSet::new()),
             corruption_refetches: std::sync::atomic::AtomicU64::new(0),
-            prefetch: RwLock::new(prefetch),
             prefetched: Mutex::new(PrefetchWindow::default()),
             prefetch_outstanding: std::sync::atomic::AtomicU64::new(0),
             blocks_prefetched: std::sync::atomic::AtomicU64::new(0),
             prefetch_hits: std::sync::atomic::AtomicU64::new(0),
             prefetch_wasted: std::sync::atomic::AtomicU64::new(0),
-            telemetry: Arc::new(Telemetry::new()),
+            telemetry,
         }
     }
 
@@ -381,24 +386,9 @@ impl TieredStorage {
         }
     }
 
-    /// The active retry policy.
-    pub fn retry_config(&self) -> RetryConfig {
-        *self.retry.read()
-    }
-
-    /// Replace the retry policy (index configs may override the default).
-    pub fn set_retry_config(&self, retry: RetryConfig) {
-        *self.retry.write() = retry;
-    }
-
-    /// The active readahead policy.
-    pub fn prefetch_config(&self) -> PrefetchConfig {
-        *self.prefetch.read()
-    }
-
-    /// Replace the readahead policy (index configs may override the default).
-    pub fn set_prefetch_config(&self, prefetch: PrefetchConfig) {
-        *self.prefetch.write() = prefetch;
+    /// The configuration this hierarchy was built with.
+    pub fn config(&self) -> &TieredConfig {
+        &self.config
     }
 
     /// Stage chunks ahead of demand: chunks already resident in a local tier
@@ -422,7 +412,7 @@ impl TieredStorage {
             // Fully resident by definition; nothing to stage.
             return Ok(Vec::new());
         }
-        let policy = *self.prefetch.read();
+        let policy = self.config.prefetch;
         let cs = self.config.chunk_size as u64;
         let mut wanted: Vec<u32> = Vec::new();
         let mut ranges: Vec<(u64, usize)> = Vec::new();
@@ -523,21 +513,12 @@ impl TieredStorage {
         self.note_prefetch_hit((handle.0, chunk_no));
     }
 
-    /// Run a shared-storage operation under the retry policy: transient
-    /// failures are re-attempted with decorrelated-jitter backoff up to the
-    /// budget; permanent failures propagate immediately.
-    ///
+    /// Run a shared-storage operation of op class `class` under the retry
+    /// policy: transient failures are re-attempted with decorrelated-jitter
+    /// backoff up to the budget; permanent failures propagate immediately.
     /// Public so callers that go to [`Self::shared`] directly (manifest IO,
     /// sidecar delta objects, recovery listings) stay under the same policy
-    /// and counters as the chunk paths. Attributes to
-    /// [`OpClass::BlockFetch`]; prefer [`Self::with_retry_as`] so retries
-    /// and breaker state land in the right class.
-    pub fn with_retry<T>(&self, op: impl Fn() -> Result<T>) -> Result<T> {
-        self.with_retry_as(OpClass::BlockFetch, op)
-    }
-
-    /// [`Self::with_retry`] with explicit op-class attribution, plus the
-    /// deadline/cancellation/breaker semantics of the read SLO machinery:
+    /// and counters as the chunk paths. The read SLO machinery applies:
     ///
     /// * An **open circuit breaker** for `class` fails fast with
     ///   [`StorageError::Unavailable`] before touching shared storage.
@@ -557,7 +538,7 @@ impl TieredStorage {
             self.breaker.record_neutral(class);
             return Err(e);
         }
-        let retry = *self.retry.read();
+        let retry = self.config.retry;
         let mut prev = retry.base_backoff;
         let mut attempt = 0u32;
         loop {
@@ -764,16 +745,6 @@ impl TieredStorage {
     /// Object length in bytes.
     pub fn object_len(&self, handle: ObjectHandle) -> Result<u64> {
         Ok(self.meta(handle)?.len)
-    }
-
-    /// Object name.
-    pub fn object_name(&self, handle: ObjectHandle) -> Result<Arc<str>> {
-        Ok(self.meta(handle)?.name)
-    }
-
-    /// Object durability.
-    pub fn object_durability(&self, handle: ObjectHandle) -> Result<Durability> {
-        Ok(self.meta(handle)?.durability)
     }
 
     /// Number of chunks in an object.
@@ -1030,11 +1001,6 @@ impl TieredStorage {
         &self.decoded
     }
 
-    /// Direct access to the memory tier (tests / cache manager).
-    pub fn mem_tier(&self) -> &CacheTier {
-        &self.mem
-    }
-
     /// Direct access to the SSD tier (tests / cache manager).
     pub fn ssd_tier(&self) -> &CacheTier {
         &self.ssd
@@ -1055,6 +1021,51 @@ mod tests {
             mem_capacity: 10_000,
             ssd_capacity: 100_000,
             ..TieredConfig::default()
+        }
+    }
+
+    /// `validate` covers every sub-config; the infallible constructor is
+    /// unaffected.
+    #[test]
+    fn config_validate_covers_every_sub_config() {
+        TieredConfig::default().validate().unwrap();
+        let bad = [
+            TieredConfig {
+                decoded_cache: DecodedCacheConfig {
+                    protected_fraction: 2.0,
+                    ..DecodedCacheConfig::default()
+                },
+                ..TieredConfig::default()
+            },
+            TieredConfig {
+                retry: RetryConfig {
+                    base_backoff: Duration::from_secs(1),
+                    max_backoff: Duration::from_millis(1),
+                    ..RetryConfig::default()
+                },
+                ..TieredConfig::default()
+            },
+            TieredConfig {
+                prefetch: PrefetchConfig {
+                    depth: 4,
+                    max_inflight_bytes: 0,
+                },
+                ..TieredConfig::default()
+            },
+            TieredConfig {
+                telemetry: TelemetryConfig {
+                    slow_query_log_len: (1 << 20) + 1,
+                    ..TelemetryConfig::default()
+                },
+                ..TieredConfig::default()
+            },
+        ];
+        for cfg in bad {
+            assert!(
+                matches!(cfg.validate(), Err(StorageError::Config(_))),
+                "{cfg:?}"
+            );
+            TieredStorage::new(SharedStorage::in_memory(), cfg);
         }
     }
 

@@ -33,7 +33,7 @@ pub use hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKET
 pub use registry::{Counter, Gauge, MetricsSnapshot, Registry};
 pub use trace::{QueryTrace, SlowQueryLog, TraceRecord};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,7 +44,8 @@ pub const JOB_KINDS: usize = 4;
 /// Labels of the per-job-kind histograms, in [`OpMetrics::jobs`] order.
 pub const JOB_LABELS: [&str; JOB_KINDS] = ["groom", "merge", "evolve", "retire_deprecated"];
 
-/// Tuning knobs for the telemetry subsystem, carried on `UmziConfig`.
+/// Tuning knobs for the telemetry subsystem, carried on the storage
+/// hierarchy's `TieredConfig`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch: when false, instrumentation sites skip clock reads and
@@ -130,12 +131,11 @@ impl OpMetrics {
 }
 
 /// The telemetry handle one storage hierarchy (and everything stacked on it)
-/// shares. Cheap to clone via `Arc`; reconfigurable in place so applying a
-/// config never resets accumulated counters.
+/// shares. Cheap to clone via `Arc`.
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: AtomicBool,
-    slow_threshold_nanos: AtomicU64,
+    slow_threshold_nanos: u64,
     registry: Registry,
     ops: OpMetrics,
     slow: SlowQueryLog,
@@ -168,24 +168,11 @@ impl Telemetry {
         let ops = OpMetrics::new(&registry);
         Self {
             enabled: AtomicBool::new(config.enabled),
-            slow_threshold_nanos: AtomicU64::new(config.slow_query_threshold.as_nanos() as u64),
+            slow_threshold_nanos: config.slow_query_threshold.as_nanos() as u64,
             registry,
             ops,
             slow: SlowQueryLog::new(config.slow_query_log_len),
         }
-    }
-
-    /// Apply a configuration to the live handle. Counters and histograms
-    /// are preserved — only the switch, threshold, and ring capacity move —
-    /// so re-applying the same config (engine create + per-shard index
-    /// creates) is idempotent.
-    pub fn configure(&self, config: &TelemetryConfig) {
-        self.enabled.store(config.enabled, Ordering::Relaxed);
-        self.slow_threshold_nanos.store(
-            config.slow_query_threshold.as_nanos() as u64,
-            Ordering::Relaxed,
-        );
-        self.slow.set_capacity(config.slow_query_log_len);
     }
 
     /// Whether instrumentation is live.
@@ -227,7 +214,7 @@ impl Telemetry {
     /// The slow-query latency threshold in nanoseconds.
     #[inline]
     pub fn slow_threshold_nanos(&self) -> u64 {
-        self.slow_threshold_nanos.load(Ordering::Relaxed)
+        self.slow_threshold_nanos
     }
 
     /// Log `record` if it crossed the slow-query threshold.
@@ -307,20 +294,6 @@ mod tests {
         t.maybe_log_slow(slow_record(1000));
         assert_eq!(t.slow_queries().len(), 1);
         assert_eq!(t.slow_queries()[0].blocks_read, 7);
-    }
-
-    #[test]
-    fn configure_preserves_history() {
-        let t = Telemetry::new();
-        t.ops().ingest.record(42);
-        t.configure(&TelemetryConfig {
-            enabled: false,
-            slow_query_threshold: Duration::from_millis(5),
-            slow_query_log_len: 4,
-        });
-        assert!(!t.is_enabled());
-        assert_eq!(t.ops().ingest.count(), 1, "history survives reconfigure");
-        assert_eq!(t.slow_threshold_nanos(), 5_000_000);
     }
 
     #[test]

@@ -150,16 +150,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Append a derived gauge (not range-checked against existing names).
-    pub fn push_gauge(&mut self, name: impl Into<String>, value: i64) {
-        self.gauges.push((name.into(), value));
-    }
-
-    /// Append a derived counter value.
-    pub fn push_counter(&mut self, name: impl Into<String>, value: u64) {
-        self.counters.push((name.into(), value));
-    }
-
     /// The histogram registered under `name`, if any.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms

@@ -12,7 +12,7 @@
 //! ring-buffered [`SlowQueryLog`]; the newest `capacity` records survive.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -109,7 +109,7 @@ impl QueryTrace {
 #[derive(Debug)]
 pub struct SlowQueryLog {
     ring: Mutex<VecDeque<TraceRecord>>,
-    capacity: AtomicUsize,
+    capacity: usize,
     evicted: AtomicU64,
 }
 
@@ -118,7 +118,7 @@ impl SlowQueryLog {
     pub fn new(capacity: usize) -> Self {
         Self {
             ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-            capacity: AtomicUsize::new(capacity),
+            capacity,
             evicted: AtomicU64::new(0),
         }
     }
@@ -126,7 +126,7 @@ impl SlowQueryLog {
     /// Append a record, evicting the oldest once full. A zero-capacity log
     /// drops everything.
     pub fn push(&self, record: TraceRecord) {
-        let cap = self.capacity.load(Ordering::Relaxed);
+        let cap = self.capacity;
         if cap == 0 {
             self.evicted.fetch_add(1, Ordering::Relaxed);
             return;
@@ -137,16 +137,6 @@ impl SlowQueryLog {
             self.evicted.fetch_add(1, Ordering::Relaxed);
         }
         ring.push_back(record);
-    }
-
-    /// Change the capacity in place; excess oldest records are evicted.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let mut ring = self.ring.lock().expect("slow-query log poisoned");
-        while ring.len() > capacity {
-            ring.pop_front();
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Oldest-first copy of the retained records.
@@ -197,25 +187,6 @@ mod tests {
             "oldest two evicted, newest three kept in order"
         );
         assert_eq!(log.evicted(), 2);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_oldest() {
-        let log = SlowQueryLog::new(4);
-        for i in 0..4 {
-            log.push(rec("q", i));
-        }
-        log.set_capacity(2);
-        assert_eq!(
-            log.snapshot()
-                .iter()
-                .map(|r| r.total_nanos)
-                .collect::<Vec<_>>(),
-            vec![2, 3]
-        );
-        // The shrunk capacity also bounds future pushes.
-        log.push(rec("q", 9));
-        assert_eq!(log.snapshot().len(), 2);
     }
 
     #[test]

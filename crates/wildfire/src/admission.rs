@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use umzi_storage::QueryContext;
+use umzi_storage::context;
 
 use crate::error::WildfireError;
 
@@ -98,13 +98,10 @@ impl ReadAdmission {
     /// Admit an analytical scan, queueing if the concurrency bound is hot.
     /// Returns `Ok(None)` when disabled (no permit to hold). Sheds with
     /// [`WildfireError::Overloaded`] when the queue is full or the
-    /// estimated wait exceeds the query's remaining deadline budget;
-    /// returns the context's own typed error if the deadline expires (or
-    /// cancellation fires) while queued.
-    pub fn admit(
-        self: &Arc<Self>,
-        ctx: &QueryContext,
-    ) -> Result<Option<ScanPermit>, WildfireError> {
+    /// estimated wait exceeds the remaining deadline budget of the ambient
+    /// query context; returns the context's own typed error if the deadline
+    /// expires (or cancellation fires) while queued.
+    pub fn admit(self: &Arc<Self>) -> Result<Option<ScanPermit>, WildfireError> {
         if !self.is_enabled() {
             return Ok(None);
         }
@@ -117,7 +114,7 @@ impl ReadAdmission {
         // Estimated wait: scans ahead of us (queued + the one slot we need)
         // times the average scan duration, spread over the slot count.
         let est = self.estimated_wait(&inner);
-        let doomed = ctx.remaining().is_some_and(|rem| est > rem);
+        let doomed = context::current_remaining().is_some_and(|rem| est > rem);
         if doomed || inner.queued >= self.cfg.max_queue_depth {
             let queue_depth = inner.queued;
             drop(inner);
@@ -142,7 +139,7 @@ impl ReadAdmission {
                 .wait_timeout(inner, Duration::from_millis(2))
                 .unwrap();
             inner = guard;
-            if let Err(e) = ctx.check("scan_admission") {
+            if let Err(e) = context::check_current("scan_admission") {
                 inner.queued -= 1;
                 drop(inner);
                 return Err(WildfireError::Storage(e));
@@ -208,12 +205,13 @@ impl Drop for ScanPermit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use umzi_storage::QueryContext;
 
     #[test]
     fn disabled_admission_never_queues() {
         let a = Arc::new(ReadAdmission::new(AdmissionConfig::default()));
         assert!(!a.is_enabled());
-        assert!(a.admit(&QueryContext::unbounded()).unwrap().is_none());
+        assert!(a.admit().unwrap().is_none());
         assert_eq!(a.stats().admitted, 0);
     }
 
@@ -223,12 +221,12 @@ mod tests {
             max_concurrent_scans: 1,
             max_queue_depth: 4,
         }));
-        let p1 = a.admit(&QueryContext::unbounded()).unwrap().unwrap();
+        let p1 = a.admit().unwrap().unwrap();
         assert_eq!(a.stats().running, 1);
         // A second scan waits until the permit drops.
         let a2 = Arc::clone(&a);
         let t = std::thread::spawn(move || {
-            let p = a2.admit(&QueryContext::unbounded()).unwrap().unwrap();
+            let p = a2.admit().unwrap().unwrap();
             drop(p);
         });
         while a.stats().queued == 0 {
@@ -250,15 +248,16 @@ mod tests {
         }));
         // Teach the estimator that scans take ~50ms.
         {
-            let p = a.admit(&QueryContext::unbounded()).unwrap().unwrap();
+            let p = a.admit().unwrap().unwrap();
             std::thread::sleep(Duration::from_millis(50));
             drop(p);
         }
-        let _held = a.admit(&QueryContext::unbounded()).unwrap().unwrap();
+        let _held = a.admit().unwrap().unwrap();
         // 1ms of budget against a ~50ms estimated wait: shed immediately.
-        let err = a
-            .admit(&QueryContext::with_deadline(Duration::from_millis(1)))
-            .unwrap_err();
+        let err = {
+            let _g = context::enter(QueryContext::with_deadline(Duration::from_millis(1)));
+            a.admit().unwrap_err()
+        };
         match err {
             WildfireError::Overloaded { estimated_wait, .. } => {
                 assert!(estimated_wait >= Duration::from_millis(10));
@@ -274,11 +273,8 @@ mod tests {
             max_concurrent_scans: 1,
             max_queue_depth: 0,
         }));
-        let _p = a.admit(&QueryContext::unbounded()).unwrap().unwrap();
-        assert!(matches!(
-            a.admit(&QueryContext::unbounded()),
-            Err(WildfireError::Overloaded { .. })
-        ));
+        let _p = a.admit().unwrap().unwrap();
+        assert!(matches!(a.admit(), Err(WildfireError::Overloaded { .. })));
     }
 
     #[test]
@@ -287,12 +283,13 @@ mod tests {
             max_concurrent_scans: 1,
             max_queue_depth: 4,
         }));
-        let _p = a.admit(&QueryContext::unbounded()).unwrap().unwrap();
+        let _p = a.admit().unwrap().unwrap();
         // Fresh estimator (avg 0): the queue accepts us, then the deadline
         // fires while waiting.
-        let err = a
-            .admit(&QueryContext::with_deadline(Duration::from_millis(10)))
-            .unwrap_err();
+        let err = {
+            let _g = context::enter(QueryContext::with_deadline(Duration::from_millis(10)));
+            a.admit().unwrap_err()
+        };
         assert!(
             matches!(
                 err,

@@ -28,7 +28,7 @@ use umzi_run::{Rid, SortBound};
 use umzi_storage::telemetry::{Counter, Histogram, Registry};
 use umzi_storage::{context, AccessPattern, BreakerState, OpClass, QueryContext, TieredStorage};
 
-use crate::admission::{AdmissionConfig, ReadAdmission, ScanPermit};
+use crate::admission::{AdmissionConfig, ReadAdmission};
 use crate::maintenance::EngineExecutor;
 use crate::shard::{Shard, ShardConfig};
 use crate::table::TableDef;
@@ -424,64 +424,50 @@ impl WildfireEngine {
         }
     }
 
-    /// Upsert one row (routed by sharding key).
+    /// Upsert one row (routed by sharding key). Under an ambient
+    /// [`QueryContext`] a deadline shorter than the maintenance stall
+    /// timeout caps how long the writer blocks on the backpressure gate, and
+    /// a write that arrives cancelled or past its deadline commits nothing.
     pub fn upsert(&self, row: Vec<Datum>) -> Result<()> {
-        self.upsert_with(&QueryContext::unbounded(), row)
-    }
-
-    /// [`WildfireEngine::upsert`] under an explicit [`QueryContext`]: a
-    /// deadline shorter than the maintenance stall timeout caps how long
-    /// the writer blocks on the backpressure gate, and cancellation /
-    /// deadline expiry abort storage retry backoff inside the write path.
-    pub fn upsert_with(&self, ctx: &QueryContext, row: Vec<Datum>) -> Result<()> {
-        let _g = context::enter(ctx.clone());
-        let tel = self.storage.telemetry();
-        let t0 = tel.start();
-        let out = self.upsert_impl(row);
-        tel.record_since(&tel.ops().ingest, t0);
-        self.observe_query(ctx, out)
-    }
-
-    fn upsert_impl(&self, row: Vec<Datum>) -> Result<()> {
-        self.admit_ingest()?;
-        let shard = self.table.shard_of(&row, self.shards.len());
-        self.shards[shard].upsert(vec![row])?;
-        self.maybe_trigger_groom(shard);
-        Ok(())
+        self.ingest("upsert", || {
+            let shard = self.table.shard_of(&row, self.shards.len());
+            self.shards[shard].upsert(vec![row])?;
+            self.maybe_trigger_groom(shard);
+            Ok(())
+        })
     }
 
     /// Upsert a batch, grouped per shard (each shard's group commits as one
     /// transaction). The ingest histogram records one sample per batch.
+    /// Context handling as in [`WildfireEngine::upsert`].
     pub fn upsert_many(&self, rows: Vec<Vec<Datum>>) -> Result<()> {
-        self.upsert_many_with(&QueryContext::unbounded(), rows)
+        self.ingest("upsert_many", || {
+            let mut per_shard: Vec<Vec<Vec<Datum>>> =
+                (0..self.shards.len()).map(|_| Vec::new()).collect();
+            for row in rows {
+                per_shard[self.table.shard_of(&row, self.shards.len())].push(row);
+            }
+            for (i, group) in per_shard.into_iter().enumerate() {
+                if !group.is_empty() {
+                    self.shards[i].upsert(group)?;
+                    self.maybe_trigger_groom(i);
+                }
+            }
+            Ok(())
+        })
     }
 
-    /// [`WildfireEngine::upsert_many`] under an explicit [`QueryContext`]
-    /// (deadline-capped backpressure stall, as in
-    /// [`WildfireEngine::upsert_with`]).
-    pub fn upsert_many_with(&self, ctx: &QueryContext, rows: Vec<Vec<Datum>>) -> Result<()> {
-        let _g = context::enter(ctx.clone());
+    /// One write under the ingest histogram: pass the backpressure gate,
+    /// then `commit`.
+    fn ingest(&self, op: &'static str, commit: impl FnOnce() -> Result<()>) -> Result<()> {
         let tel = self.storage.telemetry();
         let t0 = tel.start();
-        let out = self.upsert_many_impl(rows);
+        let out = self.observed(op, || {
+            self.admit_ingest()?;
+            commit()
+        });
         tel.record_since(&tel.ops().ingest, t0);
-        self.observe_query(ctx, out)
-    }
-
-    fn upsert_many_impl(&self, rows: Vec<Vec<Datum>>) -> Result<()> {
-        self.admit_ingest()?;
-        let mut per_shard: Vec<Vec<Vec<Datum>>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for row in rows {
-            per_shard[self.table.shard_of(&row, self.shards.len())].push(row);
-        }
-        for (i, group) in per_shard.into_iter().enumerate() {
-            if !group.is_empty() {
-                self.shards[i].upsert(group)?;
-                self.maybe_trigger_groom(i);
-            }
-        }
-        Ok(())
+        out
     }
 
     /// Groom every shard once (manual ticking; daemons call this too).
@@ -561,12 +547,22 @@ impl WildfireEngine {
         Err(last_err.expect("loop only exhausts after a dangling RID"))
     }
 
-    /// Fold a finished query into the SLO metrics: deadline overshoot (how
-    /// far past the deadline the cooperative checks let it run, recorded
-    /// whether it aborted or squeaked through late) and the typed-abort
-    /// counters.
-    fn observe_query<T>(&self, ctx: &QueryContext, out: Result<T>) -> Result<T> {
-        if let Some(deadline) = ctx.deadline() {
+    /// Run one engine operation under the caller's ambient
+    /// [`QueryContext`] (installed with [`context::enter`]; every layer
+    /// below reads the same one). The context is checked once on entry, so
+    /// an operation that arrives cancelled or past its deadline fails
+    /// before doing any work. The outcome is folded into the SLO metrics:
+    /// deadline overshoot (how far past the deadline the cooperative checks
+    /// let it run, recorded whether it aborted or squeaked through late)
+    /// and the typed-abort counters. With no context installed this costs
+    /// one thread-local read and nothing is checked.
+    fn observed<T>(&self, op: &'static str, run: impl FnOnce() -> Result<T>) -> Result<T> {
+        let ctx = context::current_if_set();
+        let out = match &ctx {
+            Some(ctx) => ctx.check(op).map_err(Into::into).and_then(|()| run()),
+            None => run(),
+        };
+        if let Some(deadline) = ctx.as_ref().and_then(QueryContext::deadline) {
             let now = std::time::Instant::now();
             if now > deadline {
                 self.qmetrics
@@ -587,37 +583,26 @@ impl WildfireEngine {
     }
 
     /// Point lookup by full index key (equality + sort values), resolving
-    /// the record row.
+    /// the record row. An ambient [`QueryContext`]'s deadline and
+    /// cancellation token reach every layer the lookup touches (index
+    /// search, block fetches, retry backoff). Point lookups are never
+    /// queued by read admission — under an open block-fetch circuit breaker
+    /// they degrade gracefully, answering from the mem/ssd tiers and the
+    /// decoded cache (counted as degraded hits) and failing fast only when
+    /// the answer truly needs shared storage.
     pub fn get(
         &self,
         eq: &[Datum],
         sort: &[Datum],
         freshness: Freshness,
     ) -> Result<Option<RecordView>> {
-        self.get_with(&QueryContext::unbounded(), eq, sort, freshness)
-    }
-
-    /// [`WildfireEngine::get`] under an explicit [`QueryContext`]: the
-    /// deadline and cancellation token propagate through every layer the
-    /// lookup touches (index search, block fetches, retry backoff). Point
-    /// lookups are never queued by read admission — under an open
-    /// block-fetch circuit breaker they degrade gracefully, answering from
-    /// the mem/ssd tiers and the decoded cache (counted as degraded hits)
-    /// and failing fast only when the answer truly needs shared storage.
-    pub fn get_with(
-        &self,
-        ctx: &QueryContext,
-        eq: &[Datum],
-        sort: &[Datum],
-        freshness: Freshness,
-    ) -> Result<Option<RecordView>> {
-        let _g = context::enter(ctx.clone());
-        let out = self.get_inner(eq, sort, freshness);
-        if out.is_ok() && self.storage.breaker().state(OpClass::BlockFetch) != BreakerState::Closed
-        {
-            self.qmetrics.degraded_hits.inc();
-        }
-        self.observe_query(ctx, out)
+        self.observed("get", || {
+            let out = self.get_inner(eq, sort, freshness)?;
+            if self.storage.breaker().state(OpClass::BlockFetch) != BreakerState::Closed {
+                self.qmetrics.degraded_hits.inc();
+            }
+            Ok(out)
+        })
     }
 
     fn get_inner(
@@ -683,7 +668,11 @@ impl WildfireEngine {
 
     /// Index-only range scan (§4.1's index-only plans): returns index
     /// entries without fetching rows. Fans out unless the equality values
-    /// pin the shard.
+    /// pin the shard. The scan passes read admission first (it may be shed
+    /// with [`crate::WildfireError::Overloaded`] under load), and an
+    /// ambient [`QueryContext`]'s deadline / cancellation token is honored
+    /// at every block boundary of the reconcile, in prefetch refills, and
+    /// inside storage retry backoff.
     pub fn scan_index(
         &self,
         eq: Vec<Datum>,
@@ -692,36 +681,10 @@ impl WildfireEngine {
         freshness: Freshness,
         strategy: ReconcileStrategy,
     ) -> Result<Vec<QueryOutput>> {
-        self.scan_index_with(
-            &QueryContext::unbounded(),
-            eq,
-            lower,
-            upper,
-            freshness,
-            strategy,
-        )
-    }
-
-    /// [`WildfireEngine::scan_index`] under an explicit [`QueryContext`]:
-    /// the scan passes read admission first (it may be shed with
-    /// [`crate::WildfireError::Overloaded`] under load), and the deadline /
-    /// cancellation token is honored at every block boundary of the
-    /// reconcile, in prefetch refills, and inside storage retry backoff.
-    pub fn scan_index_with(
-        &self,
-        ctx: &QueryContext,
-        eq: Vec<Datum>,
-        lower: SortBound,
-        upper: SortBound,
-        freshness: Freshness,
-        strategy: ReconcileStrategy,
-    ) -> Result<Vec<QueryOutput>> {
-        let permit = self.admission.admit(ctx);
-        let out = permit.and_then(|_permit: Option<ScanPermit>| {
-            let _g = context::enter(ctx.clone());
+        self.observed("scan_index", || {
+            let _permit = self.admission.admit()?;
             self.scan_index_inner(eq, lower, upper, freshness, strategy)
-        });
-        self.observe_query(ctx, out)
+        })
     }
 
     fn scan_index_inner(
@@ -761,7 +724,8 @@ impl WildfireEngine {
         }
     }
 
-    /// Range scan resolving full records.
+    /// Range scan resolving full records (admission and context handling
+    /// as in [`WildfireEngine::scan_index`]).
     pub fn scan_records(
         &self,
         eq: Vec<Datum>,
@@ -769,26 +733,10 @@ impl WildfireEngine {
         upper: SortBound,
         freshness: Freshness,
     ) -> Result<Vec<RecordView>> {
-        self.scan_records_with(&QueryContext::unbounded(), eq, lower, upper, freshness)
-    }
-
-    /// [`WildfireEngine::scan_records`] under an explicit [`QueryContext`]
-    /// (admission + end-to-end deadline/cancellation, as in
-    /// [`WildfireEngine::scan_index_with`]).
-    pub fn scan_records_with(
-        &self,
-        ctx: &QueryContext,
-        eq: Vec<Datum>,
-        lower: SortBound,
-        upper: SortBound,
-        freshness: Freshness,
-    ) -> Result<Vec<RecordView>> {
-        let permit = self.admission.admit(ctx);
-        let out = permit.and_then(|_permit: Option<ScanPermit>| {
-            let _g = context::enter(ctx.clone());
+        self.observed("scan_records", || {
+            let _permit = self.admission.admit()?;
             self.scan_records_inner(eq, lower, upper, freshness)
-        });
-        self.observe_query(ctx, out)
+        })
     }
 
     fn scan_records_inner(
@@ -848,7 +796,8 @@ impl WildfireEngine {
     /// record's newest visible version. All of a shard's hits validate
     /// through **one** [`UmziIndex::batch_lookup`](umzi_core::UmziIndex::batch_lookup)
     /// — sorted probes, one synopsis check per run, shared block reads —
-    /// instead of a full point lookup per hit.
+    /// instead of a full point lookup per hit. Admission and context
+    /// handling as in [`WildfireEngine::scan_index`].
     pub fn scan_secondary(
         &self,
         index_name: &str,
@@ -857,34 +806,10 @@ impl WildfireEngine {
         upper: SortBound,
         freshness: Freshness,
     ) -> Result<Vec<RecordView>> {
-        self.scan_secondary_with(
-            &QueryContext::unbounded(),
-            index_name,
-            eq,
-            lower,
-            upper,
-            freshness,
-        )
-    }
-
-    /// [`WildfireEngine::scan_secondary`] under an explicit
-    /// [`QueryContext`] (admission + end-to-end deadline/cancellation, as in
-    /// [`WildfireEngine::scan_index_with`]).
-    pub fn scan_secondary_with(
-        &self,
-        ctx: &QueryContext,
-        index_name: &str,
-        eq: Vec<Datum>,
-        lower: SortBound,
-        upper: SortBound,
-        freshness: Freshness,
-    ) -> Result<Vec<RecordView>> {
-        let permit = self.admission.admit(ctx);
-        let out = permit.and_then(|_permit: Option<ScanPermit>| {
-            let _g = context::enter(ctx.clone());
+        self.observed("scan_secondary", || {
+            let _permit = self.admission.admit()?;
             self.scan_secondary_inner(index_name, eq, lower, upper, freshness)
-        });
-        self.observe_query(ctx, out)
+        })
     }
 
     fn scan_secondary_inner(
@@ -1487,10 +1412,10 @@ mod tests {
         daemons.shutdown();
     }
 
-    /// Tentpole regression: deadlines and cancellation tokens passed at the
-    /// engine API surface as typed errors (never panics or partial
-    /// results), the SLO counters advance, and an immediately following
-    /// uncancelled query is unaffected.
+    /// Deadlines and cancellation tokens entered around an engine call
+    /// surface as typed errors (never panics or partial results), the SLO
+    /// counters advance, and an immediately following uncancelled query is
+    /// unaffected.
     #[test]
     fn deadline_and_cancellation_yield_typed_errors() {
         use umzi_storage::CancelToken;
@@ -1512,30 +1437,21 @@ mod tests {
         assert_eq!(want.len(), 300);
 
         // A token tripped at the very first cooperative checkpoint.
-        let ctx = QueryContext::unbounded().with_cancel(CancelToken::trip_after(0));
-        let err = e
-            .scan_records_with(
-                &ctx,
-                vec![Datum::Int64(1)],
-                SortBound::Unbounded,
-                SortBound::Unbounded,
-                Freshness::Latest,
-            )
-            .unwrap_err();
+        let err = {
+            let _g =
+                context::enter(QueryContext::unbounded().with_cancel(CancelToken::trip_after(0)));
+            full(&e).unwrap_err()
+        };
         assert!(err.is_cancelled(), "got {err}");
         assert!(err.is_query_abort());
 
         // A deadline that was already over when the query arrived.
-        let ctx = QueryContext::deadline_at(std::time::Instant::now() - Duration::from_millis(1));
-        let err = e
-            .scan_records_with(
-                &ctx,
-                vec![Datum::Int64(1)],
-                SortBound::Unbounded,
-                SortBound::Unbounded,
-                Freshness::Latest,
-            )
-            .unwrap_err();
+        let err = {
+            let _g = context::enter(QueryContext::deadline_at(
+                std::time::Instant::now() - Duration::from_millis(1),
+            ));
+            full(&e).unwrap_err()
+        };
         assert!(err.is_deadline_exceeded(), "got {err}");
 
         // The aborted queries left no residue: same results, and the SLO
@@ -1553,14 +1469,9 @@ mod tests {
             "expired deadline recorded overshoot"
         );
         // A get under a healthy breaker is not a degraded hit.
-        e.get_with(
-            &QueryContext::unbounded(),
-            &[Datum::Int64(1)],
-            &[Datum::Int64(3)],
-            Freshness::Latest,
-        )
-        .unwrap()
-        .unwrap();
+        e.get(&[Datum::Int64(1)], &[Datum::Int64(3)], Freshness::Latest)
+            .unwrap()
+            .unwrap();
         assert!(snap
             .to_prometheus()
             .contains("umzi_query_degraded_hits_total 0"));
@@ -1591,20 +1502,16 @@ mod tests {
         }
         e.quiesce().unwrap();
         // Hold the only slot directly, then scan through the engine.
-        let _held = e
-            .admission()
-            .admit(&QueryContext::unbounded())
-            .unwrap()
-            .unwrap();
-        let err = e
-            .scan_records_with(
-                &QueryContext::unbounded(),
+        let scan = || {
+            e.scan_records(
                 vec![Datum::Int64(1)],
                 SortBound::Unbounded,
                 SortBound::Unbounded,
                 Freshness::Latest,
             )
-            .unwrap_err();
+        };
+        let _held = e.admission().admit().unwrap().unwrap();
+        let err = scan().unwrap_err();
         assert!(
             matches!(err, crate::error::WildfireError::Overloaded { .. }),
             "got {err}"
@@ -1613,18 +1520,7 @@ mod tests {
         assert_eq!(e.health().query_sheds, 1);
         drop(_held);
         // Slot free again: the same scan succeeds.
-        assert_eq!(
-            e.scan_records_with(
-                &QueryContext::unbounded(),
-                vec![Datum::Int64(1)],
-                SortBound::Unbounded,
-                SortBound::Unbounded,
-                Freshness::Latest,
-            )
-            .unwrap()
-            .len(),
-            50
-        );
+        assert_eq!(scan().unwrap().len(), 50);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::Result;
 ///
 /// Uniqueness of logical keys — which the multi-version reconciliation
 /// machinery relies on — is obtained by appending the primary-key columns
-/// to the sort columns (the AsterixDB approach the paper cites [12]), so a
+/// to the sort columns (the AsterixDB approach the paper cites as \[12\]), so a
 /// secondary index reuses the exact same run format and query paths as the
 /// primary. Queries bind only the user-visible prefix of the sort columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,11 +124,6 @@ impl TableDef {
     /// Index included-column indices.
     pub fn index_included(&self) -> &[usize] {
         &self.index_included
-    }
-
-    /// Find a column index by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
     }
 
     /// Validate a row against the schema.

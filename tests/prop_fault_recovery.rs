@@ -194,13 +194,13 @@ proptest! {
                     base_backoff: Duration::ZERO,
                     max_backoff: Duration::ZERO,
                 },
+                prefetch: PrefetchConfig {
+                    depth,
+                    ..PrefetchConfig::default()
+                },
                 ..Default::default()
             },
         ));
-        storage.set_prefetch_config(PrefetchConfig {
-            depth,
-            ..PrefetchConfig::default()
-        });
 
         // Build a multi-block run while the storage is healthy.
         let def = umzi_encoding::IndexDef::builder("pf")
